@@ -25,9 +25,15 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.confidence import dispatch
-from repro.core.confidence.dispatch import ConfidenceDispatcher
+from repro.core.confidence.dispatch import (
+    ComponentDecision,
+    ConfidenceDispatcher,
+    DispatchPolicy,
+    DispatchResult,
+)
 from repro.core.confidence.dklr import aconf_unit_seed
 from repro.core.confidence.exact import ExactConfidenceEngine
+from repro.core.confidence.vectorized import single_atom_confidences
 from repro.core.lineage import Lineage, group_lineages
 from repro.core.urelation import URelation
 from repro.engine.physical import group_key
@@ -80,32 +86,24 @@ def _group_schema(
     return Schema(columns)
 
 
-def _relation_cache(urel: URelation) -> dict:
-    cache = urel.relation._lineage_cache
-    if cache is None:
-        cache = urel.relation._lineage_cache = {}
-    return cache
-
-
 def _cached_groups(
     urel: URelation, group_columns: Sequence[str]
 ) -> Tuple[Dict[tuple, Tuple[tuple, List[int]]], List[tuple]]:
     """Group the relation's rows, cached on the relation object.
 
-    Table snapshots are cached per table version
-    (:meth:`repro.engine.storage.Table.snapshot`), and the MVCC pin
-    chain (:meth:`repro.engine.storage.Table.pin_snapshot`) hands every
-    statement pinned to a version that same per-version relation
-    object, so attaching the cache to the relation keys it by *pinned
-    table version + group columns*: any mutation produces a fresh
-    snapshot object and therefore a fresh cache, while consecutive read
-    statements pinned to an unchanged version share it.  Kept separate
-    from the lineage cache so the parallel path
-    (which builds lineages worker-side) shares grouping with a later
+    Everything this module derives from a relation lives in its
+    :meth:`~repro.engine.relation.Relation.derived_cache`.  Table
+    snapshots are cached per table version and the MVCC pin chain hands
+    every statement pinned to a version that same relation object, so
+    the cache is keyed by *table version* implicitly; the SQL executor
+    keeps the prepared aggregation input of a repeated statement alive
+    across statements (:mod:`repro.sql.memo`), so its caches carry over
+    too.  Grouping is kept separate from the lineages so the parallel
+    path (which builds lineages worker-side) shares grouping with a later
     serial fallback without paying for coordinator-side lineages.
     """
     key = ("groups", tuple(group_columns), urel.payload_arity, urel.cond_arity)
-    cache = _relation_cache(urel)
+    cache = urel.relation.derived_cache()
     entry = cache.get(key)
     if entry is None:
         _, groups, order = _group_rows(urel, group_columns)
@@ -125,13 +123,87 @@ def _cached_group_lineages(
         urel.cond_arity,
         id(urel.registry),
     )
-    cache = _relation_cache(urel)
+    cache = urel.relation.derived_cache()
     entry = cache.get(key)
     if entry is not None:
         return entry
     groups, order = _cached_groups(urel, group_columns)
     lineages = group_lineages(urel, [groups[k][1] for k in order])
     entry = cache[key] = (groups, order, lineages)
+    return entry
+
+
+def _results_key(kind: str, urel: URelation, group_columns, policy, *extra) -> tuple:
+    """Cache key of per-group results: the grouping, the registry, and
+    the dispatch policy that produced them (None where none is used)."""
+    return (
+        kind,
+        tuple(group_columns),
+        urel.payload_arity,
+        urel.cond_arity,
+        id(urel.registry),
+        policy,
+    ) + extra
+
+
+def _uses_monte_carlo(results: Sequence[DispatchResult]) -> bool:
+    """Did any component of any result fall back to Monte Carlo?  Such
+    answers drew from a sequential RNG, so they are never cached."""
+    return any(
+        decision.strategy == dispatch.STRATEGY_MONTE_CARLO
+        for result in results
+        for decision in result.decisions
+    )
+
+
+def _vectorizable(urel: URelation, policy: DispatchPolicy) -> bool:
+    """Does ``conf()`` take the single-atom closed form
+    (:mod:`repro.core.confidence.vectorized`)?  Only under the ``auto``
+    strategy: a forced strategy means that algorithm, per group."""
+    return urel.cond_arity == 1 and policy.strategy == "auto"
+
+
+def _single_atom_results(
+    urel: URelation, row_groups: Sequence[Sequence[int]]
+) -> List[DispatchResult]:
+    """Per-group ``conf()`` of a single-atom U-relation, read straight off
+    its condition columns -- no Condition or Lineage objects."""
+    columns = urel.relation.columns()
+    base = urel.payload_arity
+    return [
+        DispatchResult(
+            probability,
+            (
+                ComponentDecision(
+                    dispatch.STRATEGY_CLOSED_FORM, probability, atoms, variables
+                ),
+            ),
+        )
+        for probability, atoms, variables in single_atom_confidences(
+            columns[base], columns[base + 1], urel.condition_probabilities(), row_groups
+        )
+    ]
+
+
+def _serial_conf(
+    urel: URelation, group_columns: Sequence[str], dispatcher: ConfidenceDispatcher
+) -> Tuple[List[DispatchResult], bool]:
+    """Per-group dispatch results (cached on the relation unless any fell
+    back to Monte Carlo), plus whether the vectorized kernel produced
+    them."""
+    key = _results_key("conf", urel, group_columns, dispatcher.policy)
+    cache = urel.relation.derived_cache()
+    entry = cache.get(key)
+    if entry is not None:
+        return entry
+    if _vectorizable(urel, dispatcher.policy):
+        groups, order = _cached_groups(urel, group_columns)
+        entry = (_single_atom_results(urel, [groups[k][1] for k in order]), True)
+    else:
+        lineages = _cached_group_lineages(urel, group_columns)[2]
+        entry = (dispatcher.group_probabilities(lineages), False)
+    if not _uses_monte_carlo(entry[0]):
+        cache[key] = entry
     return entry
 
 
@@ -154,9 +226,12 @@ def conf(
     Each group's lineage goes through the cost-based dispatcher
     (:mod:`repro.core.confidence.dispatch`), which picks closed-form /
     SPROUT safe evaluation / exact ws-trees / Monte Carlo per independent
-    component.  Passing ``engine`` forces the exact ws-tree engine for
-    every group (the pre-dispatcher behaviour, kept for ablations and
-    benchmarks).  ``parallel`` is a
+    component -- except for single-atom relations under the ``auto``
+    strategy, whose groups all take one vectorized closed form
+    (:mod:`repro.core.confidence.vectorized`).  Results are cached on the
+    relation per grouping and policy unless Monte Carlo ran.  Passing
+    ``engine`` forces the exact ws-tree engine for every group (the
+    pre-dispatcher behaviour, kept for ablations and benchmarks).  ``parallel`` is a
     :class:`~repro.engine.parallel.ParallelExecutionPool`: relations past
     its cost gate are sharded across worker processes, and any parallel
     failure silently degrades back to the serial path below.
@@ -167,10 +242,11 @@ def conf(
     else:
         if dispatcher is None:
             dispatcher = ConfidenceDispatcher(urel.registry)
+        groups, order = _cached_groups(urel, group_columns)
         results = None
         detail = ""
+        vectorized = False
         if parallel is not None and parallel.eligible(urel):
-            groups, order = _cached_groups(urel, group_columns)
             attempt = parallel.conf_groups(
                 urel,
                 [groups[key][1] for key in order],
@@ -180,14 +256,16 @@ def conf(
             )
             if attempt is not None:
                 results, info = attempt
+                vectorized = _vectorizable(urel, dispatcher.policy)
                 detail = (
                     f"parallel: {info['workers']} workers, "
                     f"{info['shards']} {info['path']} shard(s)"
                 )
         if results is None:
-            groups, order, lineages = _cached_group_lineages(urel, group_columns)
-            results = dispatcher.group_probabilities(lineages)
-        dispatch.record_aggregate("conf", results, detail=detail)
+            results, vectorized = _serial_conf(urel, group_columns, dispatcher)
+        dispatch.record_aggregate(
+            "conf", results, detail=detail, vectorized=len(results) if vectorized else 0
+        )
         probabilities = [result.probability for result in results]
     rows = [
         groups[key][0] + (probability,)
@@ -234,9 +312,9 @@ def aconf(
             urel.registry, dispatcher.policy, rng=rng
         )
     detail = f"epsilon={epsilon:g}, delta={delta:g}"
+    groups, order = _cached_groups(urel, group_columns)
     results = None
     if deterministic and parallel is not None and parallel.eligible(urel):
-        groups, order = _cached_groups(urel, group_columns)
         attempt = parallel.aconf_groups(
             urel,
             [groups[key][1] for key in order],
@@ -252,22 +330,30 @@ def aconf(
                 f"{info['shards']} {info['path']} shard(s)"
             )
     if results is None:
-        groups, order, lineages = _cached_group_lineages(urel, group_columns)
-        if deterministic:
-            results = [
-                dispatcher.approximate(
-                    lineage,
-                    epsilon,
-                    delta,
-                    unit_seed=aconf_unit_seed(base_seed, ordinal),
-                )
-                for ordinal, lineage in enumerate(lineages)
-            ]
-        else:
-            results = [
-                dispatcher.approximate(lineage, epsilon, delta)
-                for lineage in lineages
-            ]
+        key = _results_key(
+            "aconf", urel, group_columns, dispatcher.policy, epsilon, delta, base_seed
+        )
+        cache = urel.relation.derived_cache()
+        results = cache.get(key) if deterministic else None
+        if results is None:
+            lineages = _cached_group_lineages(urel, group_columns)[2]
+            if deterministic:
+                results = [
+                    dispatcher.approximate(
+                        lineage,
+                        epsilon,
+                        delta,
+                        unit_seed=aconf_unit_seed(base_seed, ordinal),
+                    )
+                    for ordinal, lineage in enumerate(lineages)
+                ]
+                # Seeded: a pure function of (seed, data), so reusable.
+                cache[key] = results
+            else:
+                results = [
+                    dispatcher.approximate(lineage, epsilon, delta)
+                    for lineage in lineages
+                ]
     dispatch.record_aggregate("aconf", results, detail=detail)
     rows = [
         groups[key][0] + (result.probability,)
@@ -354,15 +440,22 @@ def _expectation(
     Both paths sum with exact accumulation (``math.fsum`` serially;
     Shewchuk partials per shard with an fsum reduction in the pool), so
     a group's total is a function of its term multiset alone -- serial
-    and parallel answers are bit-identical at any worker count.
+    and parallel answers are bit-identical at any worker count.  Serial
+    totals are cached on the relation.
     """
-    _, groups, order = _group_rows(urel, group_columns)
+    groups, order = _cached_groups(urel, group_columns)
     row_groups = [groups[key][1] for key in order]
     totals: Optional[List[float]] = None
     if parallel is not None and parallel.eligible(urel):
         attempt = parallel.expectation_groups(urel, row_groups, value_position)
         if attempt is not None:
             totals, _ = attempt
+    if totals is None:
+        cache_key = _results_key(
+            "expectation", urel, group_columns, None, value_position
+        )
+        cache = urel.relation.derived_cache()
+        totals = cache.get(cache_key)
     if totals is None:
         weights = urel.condition_probabilities()
         value_column = (
@@ -383,6 +476,7 @@ def _expectation(
                 )
                 for indexes in row_groups
             ]
+        cache[cache_key] = totals
     rows = [
         groups[key][0] + (total,) for key, total in zip(order, totals)
     ]

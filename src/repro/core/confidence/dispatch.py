@@ -64,7 +64,7 @@ STRATEGY_CHOICES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispatchPolicy:
     """The tuning knobs of the dispatcher.
 
@@ -82,6 +82,9 @@ class DispatchPolicy:
       ``conf()`` may shard across (0 = serial), and the cost gate --
       relations with fewer condition-bearing rows stay serial because the
       shared-memory handoff would cost more than the confidence work.
+
+    Frozen (hence hashable): confidence results cached per relation are
+    keyed by the policy that produced them.
     """
 
     strategy: str = "auto"
@@ -140,6 +143,10 @@ class ConfidenceEvent:
     groups: int
     strategy_counts: Tuple[Tuple[str, int], ...]
     detail: str = ""
+    #: Groups answered by the single-atom closed-form kernel
+    #: (:mod:`repro.core.confidence.vectorized`) instead of per-group
+    #: dispatch.
+    vectorized: int = 0
 
     def render(self) -> str:
         strategies = ", ".join(
@@ -180,6 +187,7 @@ def record_aggregate(
     aggregate: str,
     results: Sequence[DispatchResult],
     detail: str = "",
+    vectorized: int = 0,
 ) -> None:
     """Summarize one aggregate call's dispatch results into a trace event
     (no-op when no trace is active)."""
@@ -195,6 +203,7 @@ def record_aggregate(
             groups=len(results),
             strategy_counts=tuple(sorted(counts.items())),
             detail=detail,
+            vectorized=vectorized,
         )
     )
 

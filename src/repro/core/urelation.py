@@ -220,7 +220,19 @@ class URelation:
         Condition objects at all; rows with a repeated variable (possible
         only before a consistency filter runs) fall back to the full
         decode so duplicates count once and contradictions yield 0.
+
+        Cached on the relation (``tconf``, ``esum``, ``ecount`` and the
+        single-atom ``conf()`` kernel all read it); callers must not
+        mutate the returned list.
         """
+        cache = self.relation.derived_cache()
+        key = ("marginals", self.payload_arity, self.cond_arity, id(self.registry))
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = self._condition_probabilities()
+        return out
+
+    def _condition_probabilities(self) -> List[float]:
         n = len(self.relation)
         if self.cond_arity == 0:
             return [1.0] * n

@@ -77,6 +77,7 @@ from repro.errors import (
 from repro.sql import ast_nodes as ast
 from repro.sql.analyzer import creates_variables, referenced_tables
 from repro.sql.executor import Executor, StatementResult
+from repro.sql.memo import AggregationMemo
 from repro.sql.parser import parse_statement, parse_statements
 
 QueryOutput = Union[Relation, URelation]
@@ -676,6 +677,9 @@ class MayBMS(_SessionBase):
                 min_rows=policy.parallel_min_rows,
                 base_seed=seed,
             )
+        #: Prepared aggregation inputs of repeated statements, shared by
+        #: every session (see :mod:`repro.sql.memo`).
+        self.aggregation_memo = AggregationMemo()
         self.executor = Executor(
             self.catalog,
             self.registry,
@@ -686,6 +690,7 @@ class MayBMS(_SessionBase):
             checkpoint_hook=self.checkpoint,
             parallel_pool=self.parallel_pool,
             base_seed=seed,
+            memo=self.aggregation_memo,
         )
         self._transaction: Optional[Transaction] = None
         self._held_locks: Dict[str, Tuple[str, int]] = {}
@@ -943,6 +948,7 @@ class Session(_SessionBase):
             checkpoint_hook=self.checkpoint,
             parallel_pool=store.parallel_pool,
             base_seed=self.seed,
+            memo=store.aggregation_memo,
         )
         self._transaction: Optional[Transaction] = None
         self._held_locks: Dict[str, Tuple[str, int]] = {}

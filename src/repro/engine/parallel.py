@@ -83,12 +83,14 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro import faults as _faults
 from repro.core.conditions import Condition
 from repro.core.confidence.dispatch import (
+    STRATEGY_CLOSED_FORM,
     ComponentDecision,
     ConfidenceDispatcher,
     DispatchPolicy,
     DispatchResult,
 )
 from repro.core.confidence.dklr import aconf_unit_seed, fnv_mix
+from repro.core.confidence.vectorized import single_atom_confidences
 from repro.core.lineage import ClauseArena, Lineage, combine_independent
 from repro.core.variables import TOP_VARIABLE, VariableRegistry
 from repro.engine import sanitizer as _sanitizer
@@ -510,6 +512,8 @@ def _decode_payload(name: str, length: int, cache_key: Optional[str] = None) -> 
         payload["conditions"] = _batch_conditions(batch, cond_arity)
         payload["flat_index"] = flat_index
         payload["starts"] = starts
+        payload["var_columns"] = decoded[:cond_arity]
+        payload["val_columns"] = decoded[cond_arity:]
     elif kind == "conf-components":
         units = header["units"]
         clauses = header["clauses"]
@@ -648,7 +652,9 @@ def _run_group_shard(
     name: str, length: int, ordinals: Sequence[int]
 ) -> Tuple[List[Tuple[int, float, List[Tuple[str, float, int, int]]]], float, int]:
     """One group shard: build each group's lineage from the shared batch
-    and run the full dispatcher on it."""
+    and run the full dispatcher on it -- or, for a single-atom relation
+    under the ``auto`` strategy, answer every group with the vectorized
+    closed form the serial path uses."""
     _faults.failpoint("parallel.worker")
     begin = time.process_time()
     payload = _decode_payload(name, length)
@@ -658,6 +664,25 @@ def _run_group_shard(
     starts = payload["starts"]
     base_seed = header["base_seed"]
     out: List[Tuple[int, float, List[Tuple[str, float, int, int]]]] = []
+    if header["cond_arity"] == 1 and payload["policy"].strategy == "auto":
+        # The serial path's single-atom kernel, on this shard's groups:
+        # a group's answer depends only on its own rows, so any sharding
+        # is bit-identical to serial.
+        weights = payload.get("weights")
+        if weights is None:
+            weights = payload["weights"] = _marginal_weights(
+                payload["var_columns"], payload["val_columns"], payload["registry"]
+            )
+        answers = single_atom_confidences(
+            payload["var_columns"][0],
+            payload["val_columns"][0],
+            weights,
+            [flat_index[starts[o] : starts[o + 1]] for o in ordinals],
+        )
+        for ordinal, (probability, atoms, variables) in zip(ordinals, answers):
+            decision = (STRATEGY_CLOSED_FORM, probability, atoms, variables)
+            out.append((ordinal, probability, [decision]))
+        return out, time.process_time() - begin, _drain_evictions()
     for ordinal in ordinals:
         clauses = (
             conditions[row]
@@ -1288,7 +1313,14 @@ class ParallelExecutionPool:
 
         def attempt():
             begin = time.perf_counter()
-            if policy.strategy == "auto" and n_groups < 2 * self.workers:
+            if (
+                policy.strategy == "auto"
+                and n_groups < 2 * self.workers
+                and urel.cond_arity != 1
+            ):
+                # Few groups: shard their independent components instead.
+                # Single-atom groups are never split -- they take the
+                # vectorized closed form whole, as serially.
                 plan = self._plan_components(urel, row_groups, policy, lineages, dispatcher)
             else:
                 plan = self._plan_groups(urel, row_groups, policy) if n_groups >= 2 else None
@@ -1307,6 +1339,7 @@ class ParallelExecutionPool:
                 [(shard,) for shard in shards],
                 path=plan["kind"],
                 query_counter="parallel_queries",
+                op_kind="conf",
                 shard_counter=shard_counter,
                 units=sum(len(s) for s in shards),
                 encode_ms=encode_ms,
@@ -1358,6 +1391,7 @@ class ParallelExecutionPool:
                 [(shard,) for shard in shards],
                 path="groups",
                 query_counter="parallel_aconf_queries",
+                op_kind="aconf",
                 shard_counter="parallel_aconf_shards",
                 units=sum(len(s) for s in shards),
                 encode_ms=encode_ms,
@@ -1524,9 +1558,7 @@ class ParallelExecutionPool:
         version's) under a stable cache key that lets workers reuse
         their decoded columns across queries -- including consecutive
         statements pinned to the same version."""
-        cache = relation._lineage_cache
-        if cache is None:
-            cache = relation._lineage_cache = {}
+        cache = relation.derived_cache()
         entry = cache.get("parallel-payload")
         if entry is None:
             with self._mutex:

@@ -27,7 +27,7 @@ class Relation:
     paths; the storage layer validates types on insert instead).
     """
 
-    __slots__ = ("schema", "rows", "_columns", "_lineage_cache", "source")
+    __slots__ = ("schema", "rows", "_columns", "_derived_cache", "source")
 
     def __init__(self, schema: Schema, rows: Iterable[Row] = ()):
         self.schema = schema
@@ -36,12 +36,9 @@ class Relation:
         # decoded lists when pre-seeded by the checkpoint recovery fast
         # path (storage.Table.load_columns) -- never mutated either way.
         self._columns: Optional[Tuple[Sequence[Any], ...]] = None
-        # Grouped-lineage cache for the confidence dispatcher.  It lives on
-        # the relation because table snapshots are cached per version
-        # (storage.Table.snapshot), so "same relation object" means "same
-        # table contents": the cache is implicitly keyed by table version
-        # and dies with the snapshot.  See repro.core.aggregates.
-        self._lineage_cache: Optional[dict] = None
+        # Data derived from the rows (grouping, lineages, marginals,
+        # confidence results, pool payloads); see derived_cache().
+        self._derived_cache: Optional[dict] = None
         # Provenance tag for base-table snapshots: (table name, version)
         # stamped by storage.Table.snapshot(), None for derived relations.
         # Plans built over a pinned version set carry it into EXPLAIN and
@@ -67,9 +64,25 @@ class Relation:
         relation.schema = schema
         relation.rows = rows
         relation._columns = None
-        relation._lineage_cache = None
+        relation._derived_cache = None
         relation.source = None
         return relation
+
+    def derived_cache(self) -> dict:
+        """The per-relation cache of data derived from the rows.
+
+        Relations are immutable, and table snapshots are cached per
+        version (storage.Table.snapshot) and per pinned version
+        (storage.Table.pin_snapshot), so "same relation object" means
+        "same contents": entries are implicitly keyed by table version and
+        die with the snapshot.  Callers key their entries by everything
+        else the derived value depends on (grouping columns, registry,
+        dispatch policy).  See repro.core.aggregates.
+        """
+        cache = self._derived_cache
+        if cache is None:
+            cache = self._derived_cache = {}
+        return cache
 
     def columns(self) -> Tuple[Sequence[Any], ...]:
         """The relation pivoted column-wise (cached; relations are

@@ -24,6 +24,7 @@ what lets read statements run entirely without shared table locks.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -35,12 +36,20 @@ from repro.engine.schema import Schema
 from repro.errors import StorageError
 
 
+#: Table identities: ``version`` restarts at 0 when a table is dropped
+#: and re-created under the same name, so version-keyed caches key on
+#: ``(uid, version)`` instead.
+_TABLE_UIDS = itertools.count(1)
+
+
 class Table:
     """A mutable base table with stable tuple ids and optional indexes."""
 
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
+        #: Unique per Table object for the life of the process.
+        self.uid = next(_TABLE_UIDS)
         self._rows: Dict[int, tuple] = {}
         self._next_tid = 1
         self._indexes: Dict[str, Any] = {}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import aggregates as agg
@@ -66,7 +67,10 @@ from repro.sql.analyzer import (
     UNCERTAIN_AGGREGATES,
     aggregate_kind,
     aggregates_in,
+    creates_variables,
+    referenced_tables,
 )
+from repro.sql.memo import AggregationMemo
 from repro.sql.parser import parse_statement, parse_statements
 
 QueryOutput = Union[Relation, URelation]
@@ -107,6 +111,7 @@ class Executor:
         checkpoint_hook: Optional[Callable[[], Any]] = None,
         parallel_pool=None,
         base_seed: Optional[int] = None,
+        memo: Optional[AggregationMemo] = None,
     ):
         self.catalog = catalog
         self.registry = registry
@@ -151,6 +156,12 @@ class Executor:
         #: the statement -- serial or sharded -- sees exactly the versions
         #: pinned at statement start, regardless of concurrent writers.
         self.pinned = None
+        #: The store's memo of prepared aggregation inputs, shared by every
+        #: session of the store (:mod:`repro.sql.memo`); None for a bare
+        #: executor, which then never reuses them.
+        self.memo = memo
+        #: Memo outcomes of the statement under EXPLAIN, else None.
+        self._memo_outcomes: Optional[List[str]] = None
 
     @contextmanager
     def pinned_versions(self, pinned) -> Iterator[None]:
@@ -276,11 +287,19 @@ class Executor:
         batch) that evaluated it.  Confidence-computing aggregates run
         outside the relational plans; their fragments report which
         strategy the cost-based dispatcher chose per group component
-        (closed-form / sprout / exact / monte-carlo).
+        (closed-form / sprout / exact / monte-carlo), and how many groups
+        the single-atom kernel answered.  One ``memo:`` line says whether
+        the store's memo of aggregation inputs hit, missed (and stored), or
+        was bypassed, and why.
         """
-        with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
-            with parallel_exec.trace_parallel_ops() as par_trace:
-                output = self.evaluate_query(statement.query)
+        outer_outcomes = self._memo_outcomes
+        self._memo_outcomes = memo_outcomes = []
+        try:
+            with planner.trace_plans() as trace, dispatch.trace_confidence() as conf_trace:
+                with parallel_exec.trace_parallel_ops() as par_trace:
+                    output = self.evaluate_query(statement.query)
+        finally:
+            self._memo_outcomes = outer_outcomes
         kind = "U-relation" if isinstance(output, URelation) else "relation"
         lines = [
             f"result: {kind} ({len(output)} rows), "
@@ -292,6 +311,9 @@ class Executor:
                 for name, version in sorted(self.pinned.versions.items())
             )
             lines.append(f"snapshot: mvcc pinned {pins}")
+        lines.append(
+            "memo: " + ("; ".join(memo_outcomes) or "bypass (no uncertain aggregate)")
+        )
         for position, (node, engine) in enumerate(trace):
             lines.append(f"fragment {position + 1} [engine={engine}]:")
             for plan_line in node.explain().splitlines():
@@ -313,6 +335,8 @@ class Executor:
                 f"[strategy={self.dispatcher.policy.strategy}]:"
             )
             lines.append("  " + event.render())
+            if event.vectorized:
+                lines.append(f"  closed-form (vectorized): {event.vectorized} groups")
         relation = Relation(
             Schema([Column("plan", type_from_name("text"))]),
             [(line,) for line in lines],
@@ -561,25 +585,21 @@ class Executor:
 
     # -- SELECT ------------------------------------------------------------------
     def _evaluate_select(self, query: ast.SelectQuery) -> QueryOutput:
+        if _uncertain_aggregates(query.items):
+            result: QueryOutput = self._evaluate_uncertain_select(query)
+            if query.distinct:
+                result = result.distinct()
+            return self._order_limit(query, result)
+
         body, body_certain = self._evaluate_from_where(query)
 
         # Expand stars against the body's payload schema.
         items = self._expand_select_items(query.items, body)
 
-        standard_aggs: List[ast.SqlFunction] = []
-        uncertain_aggs: List[ast.SqlFunction] = []
-        for item in items:
-            for node in aggregates_in(item.expr):
-                if aggregate_kind(node.name) == "standard":
-                    standard_aggs.append(node)
-                else:
-                    uncertain_aggs.append(node)
-
-        if uncertain_aggs:
-            result: QueryOutput = self._evaluate_uncertain_aggregation(
-                query, items, body, uncertain_aggs
-            )
-        elif standard_aggs or query.group_by:
+        standard_aggs = [
+            node for item in items for node in aggregates_in(item.expr)
+        ]
+        if standard_aggs or query.group_by:
             relation = self._as_relation(
                 self._to_output(body, body_certain), "aggregation"
             )
@@ -618,11 +638,9 @@ class Executor:
                     )
             return result
 
-        if isinstance(result, Relation):
-            if query.distinct:
-                result = result.distinct()
-            result = self._order_limit(query, result)
-        return result
+        if query.distinct:
+            result = result.distinct()
+        return self._order_limit(query, result)
 
     def _hidden_sort_columns(
         self,
@@ -829,43 +847,142 @@ class Executor:
             restored, projected.payload_arity, projected.cond_arity, self.registry
         )
 
-    # -- aggregation -----------------------------------------------------------
-    def _evaluate_uncertain_aggregation(
-        self,
-        query: ast.SelectQuery,
-        items: List[ast.SelectItem],
-        body: URelation,
-        uncertain_aggs: List[ast.SqlFunction],
-    ) -> Relation:
-        tconf_calls = [a for a in uncertain_aggs if a.name == "tconf"]
-        if tconf_calls:
-            return self._evaluate_tconf(items, body)
+    # -- uncertain aggregation ------------------------------------------------------
+    def _evaluate_uncertain_select(self, query: ast.SelectQuery) -> Relation:
+        """A SELECT whose list has uncertain aggregates, through the store's
+        memo of prepared aggregation inputs (:mod:`repro.sql.memo`).
 
-        # Pre-project the body onto the group-by expressions plus every
-        # aggregate argument, so grouping happens over named columns.
-        group_names: List[str] = []
-        project_items: List[Tuple[Expr, str]] = []
-        for position, expr in enumerate(query.group_by):
-            name = f"_g{position}"
-            group_names.append(name)
-            project_items.append((self._lower(expr), name))
+        A hit skips the FROM/WHERE body and the projection, and -- since
+        the aggregates cache grouping, lineages and answers on the
+        prepared relation -- lineage building and dispatch as well.  A
+        miss evaluates under confidence and pool traces and files the
+        input unless the evaluation ran on the worker pool or fell back
+        to Monte Carlo.
+        """
+        fingerprint, versions, reason = self._memo_key(query)
+        if reason is not None:
+            self._note_memo(f"bypass ({reason})")
+            return self._aggregate(query, self._prepare_aggregation(query))
+        prepared = self.memo.get(fingerprint, versions)
+        if prepared is not None:
+            self._note_memo("hit")
+            return self._aggregate(query, prepared)
+        with dispatch.trace_confidence() as events:
+            with parallel_exec.trace_parallel_ops() as pool_ops:
+                prepared = self._prepare_aggregation(query)
+                result = self._aggregate(query, prepared)
+        reason = self._memo_veto(events, pool_ops)
+        if reason is None:
+            self.memo.put(fingerprint, versions, prepared)
+            self._note_memo("miss")
+        else:
+            self._note_memo(f"bypass ({reason})")
+        return result
 
-        agg_specs: List[Tuple[ast.SqlFunction, str, Optional[str]]] = []
-        for position, node in enumerate(uncertain_aggs):
-            value_name: Optional[str] = None
-            if node.name == "esum" or (node.name == "ecount" and node.args):
-                value_name = f"_a{position}"
+    def _memo_key(self, query: ast.SelectQuery) -> Tuple[Any, Any, Optional[str]]:
+        """``(fingerprint, versions, None)``, or ``(None, None, reason)``
+        when the statement must not use the memo.
+
+        Table versions come from the statement's pinned set when it has
+        one (the versions the statement actually reads, whatever writers
+        commit meanwhile), else from the live tables, which the session's
+        statement locks hold still.  Tables are identified by uid: a
+        dropped and re-created table restarts its version at 0.
+        """
+        if self.memo is None:
+            return None, None, "no store memo"
+        if creates_variables(query):
+            return None, None, "creates variables"
+        reads, _ = referenced_tables(query)
+        pins = self.pinned.pins if self.pinned is not None else {}
+        versions: List[Any] = []
+        for name in sorted(reads):
+            pinned = pins.get(name)
+            if pinned is not None:
+                entry, version, _ = pinned
+            elif self.catalog.has_table(name):
+                entry = self.catalog.entry(name)
+                version = entry.table.version
+            else:
+                return None, None, f"no table {name}"
+            versions.append((name, entry.table.uid, version))
+        versions.append(self.registry.mutation_stamp()[1])
+        # The parsed query by repr, not by ==: equality treats 1, 1.0 and
+        # true as one literal, but they type the output differently.
+        fingerprint = (
+            repr(query),
+            id(self.registry),
+            self.dispatcher.policy,
+            self.base_seed,
+        )
+        return fingerprint, tuple(versions), None
+
+    def _memo_veto(self, events, pool_ops) -> Optional[str]:
+        """Why a freshly evaluated input must not be filed, if it must not:
+        pooled plans are out of the memo's scope, and Monte-Carlo answers
+        drawn from the session's sequential RNG are not reproducible
+        (seeded ``aconf`` draws are)."""
+        if pool_ops:
+            return "parallel plan"
+        for event in events:
+            if any(
+                name == dispatch.STRATEGY_MONTE_CARLO
+                for name, _ in event.strategy_counts
+            ) and (event.aggregate != "aconf" or self.base_seed is None):
+                return "monte-carlo"
+        return None
+
+    def _note_memo(self, outcome: str) -> None:
+        if self._memo_outcomes is not None:
+            self._memo_outcomes.append(outcome)
+
+    def _prepare_aggregation(self, query: ast.SelectQuery) -> "_AggregationInput":
+        """Evaluate the body and project it onto what the aggregates read."""
+        body, _ = self._evaluate_from_where(query)
+        items = self._expand_select_items(query.items, body)
+        layout = _tconf_layout(items)
+        if layout is not None:
+            urel = self._project_tconf_input(items, layout, body)
+        else:
+            urel = self._project_aggregation_input(query, items, body)
+        return _AggregationInput(tuple(items), body.payload_schema, urel)
+
+    def _aggregate(self, query: ast.SelectQuery, prepared: "_AggregationInput") -> Relation:
+        items = list(prepared.items)
+        layout = _tconf_layout(items)
+        if layout is not None:
+            return self._evaluate_tconf(items, layout, prepared.urel)
+        return self._evaluate_uncertain_aggregation(
+            query, items, prepared.payload_schema, prepared.urel
+        )
+
+    def _project_aggregation_input(
+        self, query: ast.SelectQuery, items: List[ast.SelectItem], body: URelation
+    ) -> URelation:
+        """Pre-project the body onto the group-by expressions plus every
+        aggregate argument, so grouping happens over named columns."""
+        project_items: List[Tuple[Expr, str]] = [
+            (self._lower(expr), name)
+            for expr, name in zip(query.group_by, _group_names(query))
+        ]
+        for node, _, value_name in _aggregate_specs(items):
+            if value_name is not None:
                 project_items.append((self._lower(node.args[0]), value_name))
-            agg_specs.append((node, f"_r{position}", value_name))
-
         if not project_items:
             # conf() without group by: aggregate the whole relation; keep a
             # constant column so the projection is non-empty.
             project_items.append((Literal(1), "_g_dummy"))
-            prepared = u_project(body, project_items)
-            group_names = []
-        else:
-            prepared = u_project(body, project_items)
+        return u_project(body, project_items)
+
+    def _evaluate_uncertain_aggregation(
+        self,
+        query: ast.SelectQuery,
+        items: List[ast.SelectItem],
+        payload_schema: Schema,
+        prepared: URelation,
+    ) -> Relation:
+        group_names = _group_names(query)
+        agg_specs = _aggregate_specs(items)
 
         # Compute each aggregate and merge results on the group key.
         merged: Dict[tuple, Dict[str, Any]] = {}
@@ -903,9 +1020,7 @@ class Executor:
             else:
                 # A group-by expression: find its index in the group list.
                 index = self._group_index(item.expr, query.group_by)
-                source_type = self._lower(item.expr).infer_type(
-                    body.payload_schema
-                )
+                source_type = self._lower(item.expr).infer_type(payload_schema)
                 out_columns.append(Column(name, source_type, qualifier))
                 for row_index, key in enumerate(order):
                     out_rows[row_index].append(group_values[key][index])
@@ -1016,10 +1131,15 @@ class Executor:
         if node.name == "ecount":
             if value_name is not None:
                 # ecount(expr): count rows whose expr is non-NULL -- weight
-                # each row by P(condition) if value non-NULL.
-                filtered = u_select(
-                    prepared, IsNull(ColumnRef(value_name), negated=True)
-                )
+                # each row by P(condition) if value non-NULL.  The filtered
+                # relation is kept with the prepared one, so a memo hit
+                # reuses its grouping and marginals too.
+                cache = prepared.relation.derived_cache()
+                filtered = cache.get(("non-null", value_name))
+                if filtered is None:
+                    filtered = cache[("non-null", value_name)] = u_select(
+                        prepared, IsNull(ColumnRef(value_name), negated=True)
+                    )
                 return agg.ecount(
                     filtered,
                     group_names,
@@ -1046,27 +1166,33 @@ class Executor:
                     return index
         raise AnalysisError(f"select item {expr!r} is not in GROUP BY")
 
-    def _evaluate_tconf(
-        self, items: List[ast.SelectItem], body: URelation
-    ) -> Relation:
+    def _project_tconf_input(
+        self,
+        items: List[ast.SelectItem],
+        layout: List[Tuple[str, str]],
+        body: URelation,
+    ) -> URelation:
         # Plain items are projected under positional placeholder names so
         # that a self-join's duplicate output names (``x.a``, ``y.a``)
         # never collide; the real (alias-qualified) names are attached to
-        # the assembled output below.
-        out_names = [self._item_name(item, k) for k, item in enumerate(items)]
-        out_qualifiers = _output_qualifiers(items, out_names)
-        plain_items: List[Tuple[Expr, str]] = []
-        layout: List[Tuple[str, str]] = []  # ("plain", internal) | ("tconf", "")
-        for position, item in enumerate(items):
-            if isinstance(item.expr, ast.SqlFunction) and item.expr.name == "tconf":
-                layout.append(("tconf", ""))
-            else:
-                internal = f"_q{position}"
-                plain_items.append((self._lower(item.expr), internal))
-                layout.append(("plain", internal))
+        # the assembled output by _evaluate_tconf.
+        plain_items: List[Tuple[Expr, str]] = [
+            (self._lower(item.expr), internal)
+            for item, (kind, internal) in zip(items, layout)
+            if kind == "plain"
+        ]
         if not plain_items:
             plain_items = [(Literal(1), "_dummy")]
-        projected = u_project(body, plain_items)
+        return u_project(body, plain_items)
+
+    def _evaluate_tconf(
+        self,
+        items: List[ast.SelectItem],
+        layout: List[Tuple[str, str]],
+        projected: URelation,
+    ) -> Relation:
+        out_names = [self._item_name(item, k) for k, item in enumerate(items)]
+        out_qualifiers = _output_qualifiers(items, out_names)
         with_probability = agg.tconf(projected, result_name="_tconf")
         # Reorder into the requested select-list order.
         columns: List[Column] = []
@@ -1083,7 +1209,11 @@ class Executor:
                 columns.append(
                     Column(name, with_probability.schema[index].type, qualifier)
                 )
-        rows = [tuple(row[i] for i in positions) for row in with_probability]
+        pick = itemgetter(*positions)
+        if len(positions) == 1:
+            rows = [(pick(row),) for row in with_probability]
+        else:
+            rows = [pick(row) for row in with_probability]
         return Relation(Schema(columns), rows)
 
     def _evaluate_standard_aggregation(
@@ -1279,6 +1409,58 @@ class Executor:
                 )],
             )
         return relation
+
+
+@dataclass(frozen=True)
+class _AggregationInput:
+    """What the memo keeps per statement: the expanded select list, the
+    body's payload schema (the output types of group-by items), and the
+    prepared U-relation the aggregates read."""
+
+    items: Tuple[ast.SelectItem, ...]
+    payload_schema: Schema
+    urel: URelation
+
+
+def _uncertain_aggregates(items: Sequence[ast.SelectItem]) -> List[ast.SqlFunction]:
+    return [
+        node
+        for item in items
+        for node in aggregates_in(item.expr)
+        if aggregate_kind(node.name) != "standard"
+    ]
+
+
+def _tconf_layout(items: Sequence[ast.SelectItem]) -> Optional[List[Tuple[str, str]]]:
+    """For a ``tconf()`` select list, each item's role: ``("tconf", "")``
+    or ``("plain", internal column name)``; None for other lists."""
+    if not any(node.name == "tconf" for node in _uncertain_aggregates(items)):
+        return None
+    return [
+        ("tconf", "")
+        if isinstance(item.expr, ast.SqlFunction) and item.expr.name == "tconf"
+        else ("plain", f"_q{position}")
+        for position, item in enumerate(items)
+    ]
+
+
+def _group_names(query: ast.SelectQuery) -> List[str]:
+    return [f"_g{position}" for position in range(len(query.group_by))]
+
+
+def _aggregate_specs(
+    items: Sequence[ast.SelectItem],
+) -> List[Tuple[ast.SqlFunction, str, Optional[str]]]:
+    """``(aggregate call, result column, value column or None)`` per
+    uncertain aggregate; esum and ecount(expr) read a projected value
+    column."""
+    specs: List[Tuple[ast.SqlFunction, str, Optional[str]]] = []
+    for position, node in enumerate(_uncertain_aggregates(items)):
+        value_name: Optional[str] = None
+        if node.name == "esum" or (node.name == "ecount" and node.args):
+            value_name = f"_a{position}"
+        specs.append((node, f"_r{position}", value_name))
+    return specs
 
 
 def resolve_scalar_subqueries(expr: ast.SqlExpr, executor: "Executor") -> ast.SqlExpr:

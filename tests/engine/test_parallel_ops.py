@@ -255,9 +255,9 @@ class TestStatsSurface:
         )
         with ParallelExecutionPool(workers=2, min_rows=1) as pool:
             one = pool.table_pipeline(relation, relation.schema, None, None)
-            first = relation._lineage_cache["parallel-payload"]
+            first = relation.derived_cache()["parallel-payload"]
             two = pool.table_pipeline(relation, relation.schema, None, None)
-            second = relation._lineage_cache["parallel-payload"]
+            second = relation.derived_cache()["parallel-payload"]
             assert pool.stats()["parallel_scan_queries"] == 2
         assert one is not None and two is not None
         assert list(one.rows()) == list(two.rows()) == relation.rows

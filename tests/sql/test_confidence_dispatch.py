@@ -1,8 +1,9 @@
 """SQL-level tests of the confidence dispatcher: EXPLAIN strategy
 reporting, the facade tuning knobs, aconf argument validation, seeded
-Monte-Carlo determinism, and the grouped-lineage cache."""
+Monte-Carlo determinism, and lineage reuse across repeated statements."""
 
 import random
+import threading
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core import aggregates as agg
 from repro.core.confidence.dispatch import ConfidenceDispatcher, DispatchPolicy
 from repro.db import MayBMS
 from repro.errors import AnalysisError, SqlError
+from repro.sql.analyzer import Analyzer
 from repro.sql.parser import parse_statement
 
 
@@ -163,60 +165,231 @@ class TestSeededDeterminism:
         assert MayBMS(seed=9).seed == 9
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Count lineage builds and dispatcher calls made through the real
+    entry points (the names the aggregates look up at call time)."""
+    counts = {"builds": 0, "dispatches": 0}
+    build = agg.group_lineages
+    probability = ConfidenceDispatcher.probability
+    approximate = ConfidenceDispatcher.approximate
+
+    def counted_build(*args, **kwargs):
+        counts["builds"] += 1
+        return build(*args, **kwargs)
+
+    def counted_probability(self, lineage):
+        counts["dispatches"] += 1
+        return probability(self, lineage)
+
+    def counted_approximate(self, *args, **kwargs):
+        counts["dispatches"] += 1
+        return approximate(self, *args, **kwargs)
+
+    monkeypatch.setattr(agg, "group_lineages", counted_build)
+    monkeypatch.setattr(ConfidenceDispatcher, "probability", counted_probability)
+    monkeypatch.setattr(ConfidenceDispatcher, "approximate", counted_approximate)
+
+    def take():
+        out = dict(counts)
+        counts.update(builds=0, dispatches=0)
+        return out
+
+    return take
+
+
+@pytest.fixture
+def joined(db):
+    """Stored U-relations whose join has two-atom conditions, so conf()
+    builds lineages and dispatches per group (single-atom relations take
+    the vectorized closed form and do neither), plus a certain table the
+    query filters on."""
+    db.execute(
+        "create table picks as "
+        "select * from (repair key player, init in ft weight by p) r"
+    )
+    db.execute("create table fit (player text, q float)")
+    db.execute(
+        "insert into fit values ('Bryant', 0.9), ('Duncan', 0.6), ('Nowitzki', 0.5)"
+    )
+    db.execute(
+        "create table ti as select player from "
+        "(pick tuples from fit independently with probability q) f"
+    )
+    db.execute("create table roster (player text, active integer)")
+    db.execute(
+        "insert into roster values ('Bryant', 1), ('Duncan', 1), ('Nowitzki', 1)"
+    )
+    return db
+
+
+JOIN_CONF = """
+    select a.final, conf() as p
+    from picks a, ti b, roster c
+    where a.player = b.player and c.player = a.player and c.active = 1
+    group by a.final
+"""
+
+
+def rows_of(session, sql):
+    return sorted(session.execute(sql).relation.rows)
+
+
+def facade_conf(session, column):
+    dispatcher = ConfidenceDispatcher(
+        session.registry, DispatchPolicy(strategy="exact")
+    )
+    return agg.conf(session.urelation("picks"), [column], dispatcher=dispatcher)
+
+
 class TestLineageCache:
-    def test_repeated_conf_hits_cache(self, db):
-        urel = db.uncertain_query(
-            "select * from (repair key player, init in ft weight by p) r"
-        )
-        first = agg.conf(urel, ["player"])
-        cache = urel.relation._lineage_cache
-        # One grouping entry (shared with the parallel path) plus one
-        # lineage entry for this grouping.
-        assert cache is not None and len(cache) == 2
-        entries = list(cache.values())
-        second = agg.conf(urel, ["player"])
-        # Same cache entry objects: grouping and lineages were reused.
-        after = list(urel.relation._lineage_cache.values())
-        assert len(after) == len(entries)
-        assert all(a is b for a, b in zip(after, entries))
-        assert sorted(first.rows) == sorted(second.rows)
+    """Repeated SQL confidence statements reuse their lineage, and every
+    change to what determines the answer invalidates it."""
 
-    def test_distinct_groupings_get_distinct_entries(self, db):
-        urel = db.uncertain_query(
-            "select * from (repair key player, init in ft weight by p) r"
-        )
-        agg.conf(urel, ["player"])
-        agg.conf(urel, ["player", "final"])
-        lineage_keys = [
-            key
-            for key in urel.relation._lineage_cache
-            if key[0] != "groups"
-        ]
-        assert len(lineage_keys) == 2
+    def test_repeated_conf_hits_cache(self, joined, calls):
+        first = rows_of(joined, JOIN_CONF)
+        cold = calls()
+        assert cold["builds"] >= 1 and cold["dispatches"] >= 1
+        assert rows_of(joined, JOIN_CONF) == first
+        assert calls() == {"builds": 0, "dispatches": 0}
 
-    def test_stored_urelation_snapshot_caches_across_reads(self, db):
-        db.execute(
-            "create table picks as "
-            "select * from (repair key player, init in ft weight by p) r"
-        )
-        first = db.urelation("picks")
-        agg.conf(first, ["player"])
-        again = db.urelation("picks")
-        # Unchanged table -> same snapshot object -> cache carried over.
-        assert again.relation is first.relation
-        assert again.relation._lineage_cache
+    def test_distinct_groupings_get_distinct_entries(self, joined, calls):
+        by_player = JOIN_CONF.replace("a.final", "a.player")
+        finals = rows_of(joined, JOIN_CONF)
+        players = rows_of(joined, by_player)
+        assert calls()["builds"] == 2
+        assert rows_of(joined, JOIN_CONF) == finals
+        assert rows_of(joined, by_player) == players
+        assert calls() == {"builds": 0, "dispatches": 0}
+        assert finals != players
 
-    def test_mutation_invalidates_via_fresh_snapshot(self, db):
-        db.execute(
-            "create table picks2 as "
-            "select * from (repair key player, init in ft weight by p) r"
-        )
-        first = db.urelation("picks2")
-        agg.conf(first, ["player"])
-        db.execute("delete from picks2 where player = 'Bryant'")
-        fresh = db.urelation("picks2")
-        assert fresh.relation is not first.relation
-        assert fresh.relation._lineage_cache is None
+    def test_stored_urelation_snapshot_caches_across_reads(self, joined, calls):
+        # The direct facade: an unchanged table hands out the same
+        # snapshot, whose derived cache holds lineages and answers.  (A
+        # forced strategy, since single-atom relations under auto build
+        # no lineages at all.)
+        first = facade_conf(joined, "player")
+        assert calls()["builds"] == 1
+        again = facade_conf(joined, "player")
+        assert calls() == {"builds": 0, "dispatches": 0}
+        assert sorted(again.rows) == sorted(first.rows)
+
+    def test_mutation_invalidates_via_fresh_snapshot(self, joined, calls):
+        before = facade_conf(joined, "final")
+        joined.execute("delete from picks where player = 'Bryant'")
+        calls()
+        after = facade_conf(joined, "final")
+        assert calls()["builds"] == 1
+        assert sorted(after.rows) != sorted(before.rows)
+
+    def test_update_between_repeats_rebuilds(self, joined, calls):
+        before = rows_of(joined, JOIN_CONF)
+        joined.execute("update roster set active = 0 where player = 'Bryant'")
+        calls()
+        after = rows_of(joined, JOIN_CONF)
+        assert calls()["builds"] == 1
+        assert after != before
+        assert rows_of(joined, JOIN_CONF) == after
+        assert calls() == {"builds": 0, "dispatches": 0}
+
+    def test_drop_and_recreate_is_not_served_stale(self, joined, calls):
+        before = rows_of(joined, JOIN_CONF)
+        version = joined.catalog.entry("roster").table.version
+        joined.execute("drop table roster")
+        joined.execute("create table roster (player text, active integer)")
+        # Same name and same version count as before, different rows.
+        joined.execute("insert into roster values ('Bryant', 1), ('Duncan', 1)")
+        assert joined.catalog.entry("roster").table.version <= version
+        calls()
+        after = rows_of(joined, JOIN_CONF)
+        assert calls()["builds"] == 1
+        assert after != before
+
+    def test_rolled_back_write_is_not_served(self, joined):
+        before = rows_of(joined, JOIN_CONF)
+        joined.begin()
+        joined.execute("update roster set active = 0 where player = 'Duncan'")
+        inside = rows_of(joined, JOIN_CONF)
+        joined.rollback()
+        assert inside != before
+        assert rows_of(joined, JOIN_CONF) == before
+
+    def test_pinned_reader_keeps_its_version_and_does_not_poison(
+        self, joined, calls, monkeypatch
+    ):
+        before = rows_of(joined, JOIN_CONF)
+        joined.execute("update roster set active = 0 where player = 'Bryant'")
+        reader = joined.session(read_only=True)
+        writer = joined.session()
+        # Park the reader inside its statement -- after it pinned its
+        # versions, before it looks at the memo -- while the writer
+        # commits a change.
+        entered, release = threading.Event(), threading.Event()
+        analyze = Analyzer.analyze_statement
+        parked = {}
+
+        def parking_analyze(self, statement):
+            if threading.current_thread().name == "pinned-reader":
+                entered.set()
+                assert release.wait(10)
+            return analyze(self, statement)
+
+        monkeypatch.setattr(Analyzer, "analyze_statement", parking_analyze)
+
+        def read():
+            parked["rows"] = rows_of(reader, JOIN_CONF)
+
+        thread = threading.Thread(target=read, name="pinned-reader")
+        thread.start()
+        assert entered.wait(10)
+        writer.execute("update roster set active = 1 where player = 'Bryant'")
+        # The committed version is served fresh, then filed.
+        assert rows_of(writer, JOIN_CONF) == before
+        release.set()
+        thread.join(10)
+        # The reader answered for the version it pinned ...
+        assert parked["rows"] != before
+        calls()
+        # ... and filing that answer did not displace the newer one.
+        assert rows_of(writer, JOIN_CONF) == before
+        assert calls() == {"builds": 0, "dispatches": 0}
+        reader.close()
+        writer.close()
+
+    def test_explicit_transaction_reads(self, joined, calls):
+        joined.begin()
+        first = rows_of(joined, JOIN_CONF)
+        joined.execute("update roster set active = 0 where player = 'Nowitzki'")
+        own_write = rows_of(joined, JOIN_CONF)
+        joined.commit()
+        assert own_write != first
+        calls()
+        assert rows_of(joined, JOIN_CONF) == own_write
+        assert calls() == {"builds": 0, "dispatches": 0}
+
+    def test_inline_repair_key_is_never_stored(self, db):
+        for _ in range(2):
+            text = explain_text(db, CONF_QUERY)
+            assert "memo: bypass (creates variables)" in text
+        assert len(db.aggregation_memo) == 0
+
+    def test_sessions_with_other_seed_or_strategy_do_not_share(self, joined, calls):
+        aconf = JOIN_CONF.replace("conf()", "aconf(0.1, 0.1)")
+        rows_of(joined, JOIN_CONF)
+        rows_of(joined, aconf)
+        calls()
+        exact = joined.session(confidence_strategy="exact")
+        rows_of(exact, JOIN_CONF)
+        assert calls()["builds"] == 1
+        reseeded = joined.session(seed=joined.seed + 1)
+        rows_of(reseeded, aconf)
+        assert calls()["builds"] == 1
+        same = joined.session()
+        rows_of(same, JOIN_CONF)
+        rows_of(same, aconf)
+        assert calls() == {"builds": 0, "dispatches": 0}
+        for session in (exact, reseeded, same):
+            session.close()
 
 
 class TestDispatcherSharedAcrossQueries:
